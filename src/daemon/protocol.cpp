@@ -193,6 +193,20 @@ bool WireReader::blob(std::string* v, const char* what) {
   return true;
 }
 
+bool WireReader::check_count(std::uint64_t count, std::size_t elem_bytes,
+                             const char* what) {
+  if (!error_.empty()) return false;
+  const std::size_t have = size_ - offset_;
+  if (count > have / elem_bytes) {
+    error_ = "truncated " + std::string(what) + " at byte " +
+             std::to_string(offset_) + " (declared " + std::to_string(count) +
+             " x " + std::to_string(elem_bytes) + " bytes, have " +
+             std::to_string(have) + ")";
+    return false;
+  }
+  return true;
+}
+
 bool WireReader::expect_end() {
   if (!error_.empty()) return false;
   if (offset_ != size_) {
@@ -262,8 +276,12 @@ void encode_instance_delta(WireWriter& w, const InstanceDelta& delta) {
 }
 
 bool decode_instance_delta(WireReader& r, InstanceDelta* delta) {
+  // Wire size of one op: kind u8 + six 8-byte fields.
+  constexpr std::size_t kOpBytes = 1 + 6 * 8;
   std::uint32_t count = 0;
-  if (!r.u32(&count)) return false;
+  if (!r.u32(&count) || !r.check_count(count, kOpBytes, "delta ops")) {
+    return false;
+  }
   delta->ops.clear();
   delta->ops.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -347,13 +365,18 @@ void encode_plan(WireWriter& w, const ComputePlan& plan) {
 }
 
 bool decode_plan(WireReader& r, ComputePlan* plan) {
+  // Each processor carries at least its u64 count; each entry is two u32s.
   std::uint32_t num_procs;
-  if (!r.u32(&num_procs)) return false;
+  if (!r.u32(&num_procs) || !r.check_count(num_procs, 8, "plan processors")) {
+    return false;
+  }
   plan->num_procs = static_cast<int>(num_procs);
   plan->seq.assign(num_procs, {});
   for (std::uint32_t p = 0; p < num_procs; ++p) {
     std::uint64_t count;
-    if (!r.u64(&count)) return false;
+    if (!r.u64(&count) || !r.check_count(count, 8, "plan entries")) {
+      return false;
+    }
     plan->seq[p].reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint32_t node, superstep;

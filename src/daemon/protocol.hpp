@@ -131,6 +131,13 @@ class WireReader {
   bool str(std::string* v, const char* what);
   /// u64-prefixed blob.
   bool blob(std::string* v, const char* what);
+  /// Checks a decoded element count before it sizes anything: true iff
+  /// `count` elements of `elem_bytes` wire bytes each fit in the bytes
+  /// left (overflow-safe; `elem_bytes` is the element's minimum encoded
+  /// size). Otherwise latches an error naming `what`, the count and the
+  /// offset, so a hostile count costs a typed error, never an allocation.
+  bool check_count(std::uint64_t count, std::size_t elem_bytes,
+                   const char* what);
 
   /// True when every byte has been consumed; otherwise latches a
   /// "trailing garbage" error naming the offset.

@@ -254,7 +254,11 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
   if (!read_exact(scratch, 8, "edge count")) return std::nullopt;
   const std::uint64_t m = decode_u64(scratch);
   hash_u64(m);
-  if (m * 8 > in.remaining()) return truncated("edges", m * 8);
+  // Divide, don't multiply: m is untrusted, and m * 8 can wrap past a
+  // valid-looking size (m = 2^61 + 1 gives 8) and then size succ below.
+  if (m > in.remaining() / 8) {
+    return truncated("edges", m > UINT64_MAX / 8 ? UINT64_MAX : m * 8);
+  }
 
   // Stream edges straight into the successor CSR. The format is u-major
   // (see the header comment), which lets us fill offsets in one pass and

@@ -74,7 +74,8 @@ double IncrementalEvaluator::comm_cost(int p, int home) const {
   return home == grp_[static_cast<std::size_t>(p)] ? g_in_ : g_out_;
 }
 
-double IncrementalEvaluator::attach(const ComputePlan& plan) {
+double IncrementalEvaluator::attach(const ComputePlan& plan,
+                                    MbspSchedule* out) {
   plan_ = plan;
   P_ = plan_.num_procs;
   index_.attach(&dag_, &plan_);
@@ -182,10 +183,24 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
 
   reserve_from_attached();
 
+  // Emission mirrors Completer::run: slot 0 carries the very first loads,
+  // and every round appends its body slot (evaluate_from).
+  emit_ = out;
+  if (emit_ != nullptr) {
+    emit_->steps.clear();
+    emit_->append(P_);
+  }
   const double cost = evaluate_from(0);
+  if (emit_ != nullptr) {
+    emit_->drop_empty_supersteps();
+    emit_ = nullptr;
+  }
   promote_eval();
 #ifndef NDEBUG
-  assert(cost == evaluate_plan(inst_, plan_, options_));
+  MbspSchedule oracle;
+  assert(cost == evaluate_plan(inst_, plan_, options_, &oracle));
+  assert((out == nullptr || *out == oracle) &&
+         "emitted schedule diverges from complete_memory");
 #endif
   return cost;
 }
@@ -1036,6 +1051,7 @@ double IncrementalEvaluator::evaluate_from(int b) {
                          static_cast<char>(0));
       }
       ++num_slots_;
+      if (emit_ != nullptr) emit_->append(P_);
       for (int p = 0; p < P_; ++p) {
         const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
         const std::int64_t pos = pos_[static_cast<std::size_t>(p)];
@@ -1293,12 +1309,12 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
           mark_blue(victim);
           seg.pre_deletes.push_back(victim);
         } else {
-          seg.ops.push_back({0, victim});
+          seg.ops.push_back(PhaseOp::erase(victim));
         }
         try_set_member(p, victim, false);
         t_weight_ -= dag_.mu(victim);
       }
-      seg.ops.push_back({1, v});
+      seg.ops.push_back(PhaseOp::compute(v));
       try_set_member(p, v, true);
       t_weight_ += dag_.mu(v);
     }
@@ -1309,7 +1325,7 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
       if (!try_member(p, u) || remneed(u) > 0) continue;
       if (effective_next_need(p, pp, u, gpos + 1) != kNever) continue;
       if (!try_blue(u) && save_required(u)) continue;
-      seg.ops.push_back({0, u});
+      seg.ops.push_back(PhaseOp::erase(u));
       try_set_member(p, u, false);
       t_weight_ -= dag_.mu(u);
     }
@@ -1379,8 +1395,8 @@ void IncrementalEvaluator::commit_segment(int p) {
         !seg.loads.empty()) {
       slot_any_[stage] = 1;
     }
-    for (const auto& [is_compute, v] : seg.ops) {
-      if (is_compute) slot_comp_[body] += dag_.omega(v);
+    for (const PhaseOp& op : seg.ops) {
+      if (op.kind == OpKind::kCompute) slot_comp_[body] += dag_.omega(op.node);
     }
     // post_saves are priced at the round drain (see evaluate_from), where
     // their home groups are final.
@@ -1400,10 +1416,31 @@ void IncrementalEvaluator::commit_segment(int p) {
     // round r]; loads are stage-only; computes are body-only.
     for (NodeId v : seg.pre_saves) cur.save.push_back(v);
     for (NodeId v : seg.loads) cur.load.push_back(v);
-    for (const auto& [is_compute, v] : seg.ops) {
-      if (is_compute) nxt.comp.push_back(v);
+    for (const PhaseOp& op : seg.ops) {
+      if (op.kind == OpKind::kCompute) nxt.comp.push_back(op.node);
     }
     for (NodeId v : seg.post_saves) nxt.save.push_back(v);
+  }
+
+  if (emit_ != nullptr) {
+    // Same slots as Completer::run: the stage slot (this round's straddling
+    // slot) takes the upfront evictions and loads, the body slot the
+    // computes and the post-segment saves/deletes.
+    const auto append = [](std::vector<NodeId>& to,
+                           const std::vector<NodeId>& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    ProcStep& stage =
+        emit_->steps[static_cast<std::size_t>(eval_cur_)].proc[p];
+    append(stage.saves, seg.pre_saves);
+    append(stage.deletes, seg.pre_deletes);
+    append(stage.loads, seg.loads);
+    ProcStep& body =
+        emit_->steps[static_cast<std::size_t>(eval_cur_) + 1].proc[p];
+    body.compute_phase.insert(body.compute_phase.end(), seg.ops.begin(),
+                              seg.ops.end());
+    append(body.saves, seg.post_saves);
+    append(body.deletes, seg.post_deletes);
   }
 
   // Fold the segment's end state into the eval-level processor state.

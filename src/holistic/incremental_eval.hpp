@@ -93,7 +93,11 @@ class IncrementalEvaluator {
 
   /// Attaches to `plan` (superstep indices must be dense 0..k-1) and fully
   /// evaluates it. Returns the cost, bitwise equal to evaluate_plan's.
-  double attach(const ComputePlan& plan);
+  /// With `out`, the evaluation also emits the completed schedule into
+  /// *out (overwritten), bitwise equal to complete_memory's: each round's
+  /// committed segments land in the same stage/body slots Completer::run
+  /// fills, so the caller needs no separate completion of this plan.
+  double attach(const ComputePlan& plan, MbspSchedule* out = nullptr);
 
   const ComputePlan& plan() const { return plan_; }
   PlanOccurrenceIndex& index() { return index_; }
@@ -135,7 +139,7 @@ class IncrementalEvaluator {
   struct Segment {
     std::vector<NodeId> loads, pre_saves, pre_deletes, post_saves,
         post_deletes;
-    std::vector<std::pair<char, NodeId>> ops;  ///< (is_compute, node)
+    std::vector<PhaseOp> ops;  ///< computes + interleaved deletes
     std::int64_t count = 0;
     std::vector<NodeId> final_cache;
     double final_weight = 0;
@@ -420,6 +424,9 @@ class IncrementalEvaluator {
   long last_dirty_ = 0;
 
   // -- per-eval scratch (arena-backed where append-only) -------------------
+  /// Schedule sink of the running attach(out) evaluation; null otherwise
+  /// (move evaluations never emit).
+  MbspSchedule* emit_ = nullptr;
   Arena eval_arena_;
   int eval_b_ = 0;  ///< restart round of the running evaluation
   // Per-proc eval cache membership, dense epoch-stamped: v is in proc

@@ -505,10 +505,11 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
   result.plan = initial;
 
   // attach() is bitwise-equal to evaluate_plan on the same plan (the
-  // engine's oracle invariant), so the warm start needs no separate full
-  // completion; the best schedule is derived once at exit.
+  // engine's oracle invariant) and emits complete_memory's schedule, so
+  // the warm start needs no separate completion: when the search never
+  // strictly improves on it, its schedule is the one returned.
   IncrementalEvaluator eval(inst, options);
-  result.initial_cost = eval.attach(initial);
+  result.initial_cost = eval.attach(initial, &result.schedule);
   result.cost = result.initial_cost;
 
   double current_cost = result.initial_cost;
@@ -520,10 +521,7 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
   const double cooling = 0.9995;
 
   const std::vector<unsigned> moves = enabled_moves(options);
-  if (moves.empty()) {
-    result.cost = evaluate_plan(inst, result.plan, options, &result.schedule);
-    return result;
-  }
+  if (moves.empty()) return result;
 
   // The deadline poll leaves the hot loop: the clock is only read every
   // deadline_poll_interval iterations (rounded down to a power of two, so
@@ -535,6 +533,7 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
       static_cast<long>(std::bit_floor(static_cast<unsigned long>(
           std::max(1L, options.deadline_poll_interval)))) -
       1;
+  bool improved = false;
   while (result.iterations < options.max_iterations &&
          ((result.iterations & poll_mask) != 0 || !deadline.expired())) {
     ++result.iterations;
@@ -587,10 +586,14 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
     if (cost < result.cost) {
       result.cost = cost;
       result.plan = eval.plan();
+      improved = true;
     }
   }
-  // Re-derive the best schedule (plan is stored; completion deterministic).
-  result.cost = evaluate_plan(inst, result.plan, options, &result.schedule);
+  // A strictly better plan was found: one from-scratch evaluation of it
+  // emits its schedule and cost through the same kernel (still bitwise
+  // evaluate_plan's). Otherwise result.plan is `initial`, whose schedule
+  // the warm-start attach already emitted.
+  if (improved) result.cost = eval.attach(result.plan, &result.schedule);
   return result;
 }
 

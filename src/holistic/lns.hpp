@@ -28,6 +28,16 @@
 // bench_lns_throughput. For a fixed seed and options the two return
 // identical results; debug builds additionally assert, every iteration,
 // that the incremental candidate cost equals the full evaluator's.
+//
+// The returned schedule is emitted by the evaluator's own completion
+// kernel, never by a separate complete_memory pass: attaching the warm
+// start emits its schedule, which is returned as is when the search never
+// strictly improves on it (result.plan is then `initial`). Only a search
+// that found a strictly better plan pays an exit completion — one more
+// attach of that plan, which emits its schedule and a from-scratch cost.
+// Both are bitwise evaluate_plan's (debug builds assert it on every
+// attach). evaluate_plan / complete_memory remain the independent oracle
+// and the two-stage path.
 
 #include <array>
 #include <cstdint>

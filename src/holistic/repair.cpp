@@ -628,9 +628,17 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // makes the stages identical, so the whole budget runs in one pass.
   // An empty mask means the delta changed nothing a move could exploit.
   if (options.polish && result.masked_nodes > 0) {
+    // Each polish stage keeps its plan with the schedule and from-scratch
+    // cost its engine completed it with, so the returned plan is never
+    // completed again below.
+    const auto take = [&](auto&& polished) {
+      result.plan = std::move(polished.plan);
+      result.schedule = std::move(polished.schedule);
+      result.cost = polished.cost;
+      result.polish_iterations += polished.iterations;
+    };
     const auto polish = [&](const ComputePlan& seed_plan,
-                            const LnsOptions& lns)
-        -> std::pair<ComputePlan, long> {
+                            const LnsOptions& lns) {
       if (options.workers > 1) {
         PortfolioOptions popt;
         popt.lns = lns;
@@ -640,11 +648,10 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
         popt.threads = static_cast<std::size_t>(
             options.threads > 0 ? options.threads : 0);
         const PortfolioLns portfolio(popt);
-        PortfolioResult polished = portfolio.improve(inst, seed_plan);
-        return {std::move(polished.plan), polished.iterations};
+        take(portfolio.improve(inst, seed_plan));
+      } else {
+        take(improve_plan(inst, seed_plan, lns));
       }
-      LnsResult polished = improve_plan(inst, seed_plan, lns);
-      return {std::move(polished.plan), polished.iterations};
     };
     // A machine delta invalidates the incumbent's load balance wholesale,
     // and the order-preserving relocation can leave a seed a fresh
@@ -671,21 +678,20 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
       masked.budget_ms = options.lns.budget_ms * 2 / 3;
       global.budget_ms = options.lns.budget_ms - masked.budget_ms;
     }
-    auto [masked_plan, masked_iters] = polish(*polish_seed, masked);
-    result.plan = std::move(masked_plan);
-    result.polish_iterations = masked_iters;
+    polish(*polish_seed, masked);
     if (global_iters > 0) {
-      auto [global_plan, global_polish_iters] = polish(result.plan, global);
-      result.plan = std::move(global_plan);
-      result.polish_iterations += global_polish_iters;
+      const ComputePlan masked_plan = std::move(result.plan);
+      polish(masked_plan, global);
     }
   } else {
     result.plan = patched;
+    result.cost =
+        evaluate_plan(inst, result.plan, options.lns, &result.schedule);
   }
 
   // The reported cost is always a from-scratch evaluation of the returned
-  // plan on the mutated instance — the differential-oracle contract.
-  result.cost = evaluate_plan(inst, result.plan, options.lns, &result.schedule);
+  // plan on the mutated instance — the differential-oracle contract (the
+  // polish engines return exactly that evaluation with their schedule).
   return result;
 }
 

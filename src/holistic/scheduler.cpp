@@ -28,15 +28,13 @@ HolisticOutcome holistic_improve(const MbspInstance& inst,
                                  const ComputePlan& initial,
                                  const HolisticOptions& options) {
   HolisticOutcome out;
-  {
-    MbspSchedule warm;
-    out.baseline_cost =
-        evaluate_plan(inst, initial, to_lns(options, 0), &warm);
-  }
-  const LnsResult res =
+  LnsResult res =
       improve_plan(inst, initial, to_lns(options, options.budget_ms));
-  out.schedule = res.schedule;
-  out.plan = res.plan;
+  // The warm start's cost is bitwise evaluate_plan(initial): no separate
+  // completion of the baseline.
+  out.baseline_cost = res.initial_cost;
+  out.schedule = std::move(res.schedule);
+  out.plan = std::move(res.plan);
   out.cost = res.cost;
   return out;
 }

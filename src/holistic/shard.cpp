@@ -257,11 +257,6 @@ ShardResult shard_schedule(const MbspInstance& inst,
   assert(stitched_ok.ok);
   (void)stitched_ok;
 
-  result.stitched_cost =
-      evaluate_plan(inst, global_plan, options.lns, nullptr);
-  result.cost = result.stitched_cost;
-  result.plan = std::move(global_plan);
-
   // Boundary move mask: endpoints of cut edges, expanded by the halo.
   std::vector<char> mask(static_cast<std::size_t>(dag.num_nodes()), 0);
   for (NodeId u = 0; u < dag.num_nodes(); ++u) {
@@ -285,7 +280,10 @@ ShardResult shard_schedule(const MbspInstance& inst,
   for (char bit : mask) result.boundary_nodes += bit != 0;
 
   // Global polish restricted to the boundary (O(delta) per move through
-  // the incremental evaluator). improve_plan never returns a worse plan.
+  // the incremental evaluator). improve_plan never returns a worse plan,
+  // and its warm-start cost is the stitched plan's from-scratch cost, so
+  // the stitched plan is completed once, inside the polish. Without a
+  // polish it is completed here.
   if (result.num_shards > 1 && result.boundary_nodes > 0 &&
       options.polish_max_iterations > 0) {
     LnsOptions polish = options.lns;
@@ -293,9 +291,16 @@ ShardResult shard_schedule(const MbspInstance& inst,
     polish.max_iterations = options.polish_max_iterations;
     polish.seed = splitmix64_mix(options.lns.seed ^ kPolishSalt);
     polish.node_mask = &mask;
-    LnsResult polished = improve_plan(inst, result.plan, polish);
+    LnsResult polished = improve_plan(inst, global_plan, polish);
+    result.stitched_cost = polished.initial_cost;
     result.cost = polished.cost;
     result.plan = std::move(polished.plan);
+    result.schedule = std::move(polished.schedule);
+  } else {
+    result.stitched_cost =
+        evaluate_plan(inst, global_plan, options.lns, &result.schedule);
+    result.cost = result.stitched_cost;
+    result.plan = std::move(global_plan);
   }
 
   // Safety net: the unpartitioned greedy warm start. Returning the
@@ -305,15 +310,19 @@ ShardResult shard_schedule(const MbspInstance& inst,
     GreedyBspScheduler greedy;
     const BspSchedule bsp = greedy.schedule(dag, inst.arch);
     ComputePlan seed_plan = plan_from_bsp(dag, bsp, P);
-    result.seed_cost = evaluate_plan(inst, seed_plan, options.lns, nullptr);
+    MbspSchedule seed_schedule;
+    result.seed_cost =
+        evaluate_plan(inst, seed_plan, options.lns, &seed_schedule);
     if (result.seed_cost < result.cost) {
       result.cost = result.seed_cost;
       result.plan = std::move(seed_plan);
+      result.schedule = std::move(seed_schedule);
       result.used_full_seed = true;
     }
   }
 
-  result.cost = evaluate_plan(inst, result.plan, options.lns, &result.schedule);
+  // Every branch above left result.schedule/cost as a from-scratch
+  // completion of result.plan (bitwise evaluate_plan's).
   return result;
 }
 

@@ -48,6 +48,8 @@ struct ProcStep {
   /// Sum of g * mu over saves / loads.
   double save_cost(const ComputeDag& dag, double g) const;
   double load_cost(const ComputeDag& dag, double g) const;
+
+  bool operator==(const ProcStep&) const = default;
 };
 
 struct Superstep {
@@ -56,6 +58,8 @@ struct Superstep {
   explicit Superstep(int num_procs = 0) : proc(num_procs) {}
 
   bool empty() const;
+
+  bool operator==(const Superstep&) const = default;
 };
 
 /// A full MBSP schedule. Validity is checked by `validate()` (validate.hpp);
@@ -79,6 +83,9 @@ struct MbspSchedule {
 
   /// Human-readable dump for debugging / examples.
   std::string to_string(const MbspInstance& inst) const;
+
+  /// Bitwise equality: same supersteps, same ops in the same order.
+  bool operator==(const MbspSchedule&) const = default;
 };
 
 }  // namespace mbsp

@@ -333,6 +333,106 @@ TEST(WireCodec, ErrorNamesAreStable) {
   EXPECT_STREQ(cache_status_name(CacheStatus::kRepaired), "repaired");
 }
 
+/// A REPAIR payload whose delta declares 0xFFFFFFFF ops but carries none
+/// (the delta's u32 op count is the payload's last field). Framed, it is
+/// 89 bytes; decoders that size a buffer from the count before checking
+/// it against the payload throw std::bad_alloc on it.
+std::string oversized_delta_payload() {
+  RepairRequest request;
+  request.scheduler = "repair";
+  std::string payload = encode_repair_request(request);  // empty delta
+  for (std::size_t i = 1; i <= 4; ++i) payload[payload.size() - i] = '\xff';
+  return payload;
+}
+
+/// An mbsp-dag v2 payload with one node and an edge count of 2^61 + 1,
+/// followed by 8 bytes: `m * 8` wraps to exactly the 8 bytes left.
+std::string wrapping_edge_count_dag() {
+  std::string bytes = "MBSPDAG2";
+  const auto put = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(0, 4);                  // empty name
+  put(1, 4);                  // one node
+  put(0, 8);                  // its omega
+  put(0, 8);                  // its mu
+  put((1ULL << 61) + 1, 8);   // edge count
+  put(0, 8);                  // 8 bytes left
+  return bytes;
+}
+
+TEST(WireCodec, CheckCountIsOverflowSafe) {
+  const std::string sixteen(16, '\0');
+  WireReader fits(sixteen);
+  EXPECT_TRUE(fits.check_count(2, 8, "pairs"));
+  EXPECT_TRUE(fits.ok());
+  WireReader too_many(sixteen);
+  EXPECT_FALSE(too_many.check_count(3, 8, "pairs"));
+  EXPECT_NE(too_many.error().find("pairs"), std::string::npos)
+      << too_many.error();
+  // 2^61 + 1 elements of 8 bytes: the product wraps to 8 <= 16.
+  WireReader wrapping(sixteen);
+  EXPECT_FALSE(wrapping.check_count((1ULL << 61) + 1, 8, "pairs"));
+  EXPECT_NE(wrapping.error().find("at byte 0"), std::string::npos)
+      << wrapping.error();
+}
+
+TEST(WireCodec, HugeDeltaOpCountIsATypedErrorBeforeAllocation) {
+  const std::string payload = oversized_delta_payload();
+  EXPECT_EQ(encode_frame(FrameType::kRepairRequest, payload).size(), 89u);
+  RepairRequest decoded;
+  std::string error;
+  ASSERT_FALSE(decode_repair_request(payload, &decoded, &error));
+  EXPECT_NE(error.find("delta ops"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967295"), std::string::npos) << error;
+  // Truncation-class, not a semantic delta error: the daemon answers
+  // kBadRequest.
+  EXPECT_EQ(error.find("bad delta op kind"), std::string::npos) << error;
+}
+
+TEST(WireCodec, HugePlanCountsAreTypedErrorsBeforeAllocation) {
+  {
+    WireWriter w;
+    w.u32(0xFFFFFFFFu);  // processors, none following
+    WireReader r(w.bytes());
+    ComputePlan plan;
+    EXPECT_FALSE(decode_plan(r, &plan));
+    EXPECT_NE(r.error().find("plan processors"), std::string::npos)
+        << r.error();
+  }
+  {
+    WireWriter w;
+    w.u32(1);
+    w.u64(~0ULL);  // entries of processor 0, none following
+    WireReader r(w.bytes());
+    ComputePlan plan;
+    EXPECT_FALSE(decode_plan(r, &plan));
+    EXPECT_NE(r.error().find("plan entries"), std::string::npos) << r.error();
+  }
+  {
+    // The same through the client-side FINAL decoder.
+    FinalResult result;
+    result.plan.num_procs = 1;
+    result.plan.seq.resize(1);
+    std::string payload = encode_final_result(result);
+    // The plan is the payload's tail: u32 procs, then u64 count of proc 0.
+    for (std::size_t i = 1; i <= 8; ++i) payload[payload.size() - i] = '\xff';
+    FinalResult decoded;
+    std::string error;
+    EXPECT_FALSE(decode_final_result(payload, &decoded, &error));
+    EXPECT_NE(error.find("plan entries"), std::string::npos) << error;
+  }
+}
+
+TEST(WireCodec, WrappingDagEdgeCountIsATruncationError) {
+  std::string error;
+  EXPECT_FALSE(dag_from_bytes(wrapping_edge_count_dag(), &error).has_value());
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  EXPECT_NE(error.find("section 'edges'"), std::string::npos) << error;
+}
+
 #if defined(MBSP_DAEMON_TESTS_POSIX)
 
 // ---------------------------------------------------------------------------
@@ -647,6 +747,44 @@ TEST_F(ProtocolServerTest, TamperedDeltaOpKindOverTheWireIsBadDelta) {
   EXPECT_NE(err.message.find("bad delta op kind"), std::string::npos)
       << err.message;
   EXPECT_TRUE(client.ping(&error)) << error;
+}
+
+TEST_F(ProtocolServerTest, HugeDeltaOpCountGetsTypedErrorAndServerLives) {
+  MbspClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(options_.socket_path, &error)) << error;
+  ASSERT_TRUE(client.send_raw(
+      encode_frame(FrameType::kRepairRequest, oversized_delta_payload()),
+      &error));
+  Frame reply;
+  ASSERT_TRUE(client.read_reply(&reply, &error)) << error;
+  ASSERT_EQ(reply.type, FrameType::kError);
+  ErrorFrame err;
+  ASSERT_TRUE(decode_error(reply.payload, &err, &error)) << error;
+  EXPECT_EQ(err.code, WireError::kBadRequest);
+  EXPECT_NE(err.message.find("delta ops"), std::string::npos) << err.message;
+  // The same connection and fresh ones keep being served, requests too.
+  EXPECT_TRUE(client.ping(&error)) << error;
+  expect_server_alive();
+  MbspClient::Outcome outcome;
+  ASSERT_TRUE(client.run(tiny_request(), &outcome, &error)) << error;
+  EXPECT_TRUE(outcome.ok) << outcome.error.message;
+}
+
+TEST_F(ProtocolServerTest, WrappingDagEdgeCountIsBadDagNotInternal) {
+  MbspClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(options_.socket_path, &error)) << error;
+  ScheduleRequest request = tiny_request();
+  request.dag_bytes = wrapping_edge_count_dag();
+  MbspClient::Outcome outcome;
+  ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error.code, WireError::kBadDag) << outcome.error.message;
+  EXPECT_NE(outcome.error.message.find("edges"), std::string::npos)
+      << outcome.error.message;
+  EXPECT_TRUE(client.ping(&error)) << error;
+  expect_server_alive();
 }
 
 #endif  // MBSP_DAEMON_TESTS_POSIX

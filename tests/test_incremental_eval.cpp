@@ -12,6 +12,7 @@
 #include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
+#include "src/twostage/memory_completion.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/workload_registry.hpp"
@@ -274,6 +275,84 @@ TEST(IncrementalEval, ImprovePlanMatchesReferenceHeteroMachine) {
     options.seed = 31;
     expect_identical_results(inst, options);
   }
+}
+
+/// attach(plan, &emitted) against the independent completion: the
+/// emitted schedule must be bitwise complete_memory's and the cost
+/// bitwise evaluate_plan's.
+void expect_emission_matches_oracle(const MbspInstance& inst,
+                                    const ComputePlan& plan,
+                                    const LnsOptions& options,
+                                    const std::string& what) {
+  ASSERT_TRUE(has_dense_supersteps(plan)) << what;
+  IncrementalEvaluator eval(inst, options);
+  MbspSchedule emitted;
+  emitted.append(inst.arch.num_processors).proc[0].loads.push_back(0);
+  const double cost = eval.attach(plan, &emitted);  // overwrites the junk
+  MbspSchedule oracle;
+  EXPECT_EQ(cost, evaluate_plan(inst, plan, options, &oracle)) << what;
+  EXPECT_TRUE(emitted == oracle)
+      << what << ": emitted schedule differs from complete_memory ("
+      << emitted.num_supersteps() << " vs " << oracle.num_supersteps()
+      << " supersteps)";
+}
+
+TEST(IncrementalEval, AttachEmitsCompleteMemoryScheduleAcrossRegistry) {
+  // Every workload family (default parameters) x {uniform, hetero/NUMA}
+  // x {clairvoyant, LRU} x {sync, async}, on the greedy baseline plan and
+  // on an LNS-improved plan (recomputation, merged/split supersteps).
+  const WorkloadRegistry& registry = WorkloadRegistry::global();
+  int checked = 0;
+  for (const std::string& family : registry.names()) {
+    if (family.rfind("mtx-", 0) == 0) continue;  // requires file=
+    std::string error;
+    const auto dag = registry.make_dag(family, 2025, &error);
+    ASSERT_TRUE(dag.has_value()) << family << ": " << error;
+    const double r0 = min_memory_r0(*dag);
+    for (bool hetero : {false, true}) {
+      const MbspInstance inst{*dag, hetero ? hetero_machine(r0)
+                                           : Architecture::make(4, 3 * r0,
+                                                                1, 10)};
+      const ComputePlan baseline = warm_plan(inst);
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        for (CostModel cost :
+             {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+          LnsOptions options;
+          options.budget_ms = 0;
+          options.max_iterations = 300;
+          options.completion_policy = policy;
+          options.cost = cost;
+          const std::string what =
+              family + (hetero ? " hetero" : " uniform") +
+              (policy == PolicyKind::kLru ? " lru" : " clairvoyant") +
+              (cost == CostModel::kAsynchronous ? " async" : " sync");
+          expect_emission_matches_oracle(inst, baseline, options,
+                                         what + " baseline");
+          const LnsResult lns = improve_plan(inst, baseline, options);
+          expect_emission_matches_oracle(inst, lns.plan, options,
+                                         what + " lns");
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 8 * 18);
+}
+
+TEST(IncrementalEval, AttachEmitsEmptyScheduleForEmptyPlan) {
+  // Zero completion rounds (an empty DAG, e.g. an empty shard): the
+  // emitted schedule is empty, like complete_memory's.
+  const MbspInstance inst{ComputeDag("empty"), Architecture::make(4, 1, 1, 10)};
+  ComputePlan empty;
+  empty.num_procs = inst.arch.num_processors;
+  empty.seq.resize(static_cast<std::size_t>(empty.num_procs));
+  LnsOptions options;
+  IncrementalEvaluator eval(inst, options);
+  MbspSchedule emitted;
+  eval.attach(empty, &emitted);
+  EXPECT_TRUE(emitted ==
+              complete_memory(inst, empty, options.completion_policy));
+  EXPECT_EQ(emitted.num_supersteps(), 0);
 }
 
 TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {

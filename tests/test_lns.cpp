@@ -11,6 +11,7 @@
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
 #include "src/twostage/two_stage.hpp"
+#include "src/workload/workload_registry.hpp"
 
 namespace mbsp {
 namespace {
@@ -160,6 +161,91 @@ TEST(EvaluatePlan, MatchesScheduleCost) {
   MbspSchedule sched;
   const double cost = evaluate_plan(inst, base.plan, options, &sched);
   EXPECT_DOUBLE_EQ(cost, sync_cost(inst, sched));
+}
+
+/// An LNS result's schedule and cost are the independent oracle's
+/// evaluation (complete_memory + cost) of its returned plan, bitwise.
+void expect_result_is_oracle_of_plan(const MbspInstance& inst,
+                                     const LnsResult& res,
+                                     const LnsOptions& options,
+                                     const std::string& what) {
+  MbspSchedule oracle;
+  EXPECT_EQ(res.cost, evaluate_plan(inst, res.plan, options, &oracle))
+      << what;
+  EXPECT_TRUE(res.schedule == oracle)
+      << what << ": returned schedule differs from complete_memory";
+}
+
+TEST(Lns, ReturnedScheduleIsTheOracleOfTheReturnedPlan) {
+  // Both exits of improve_plan: a search that never strictly improves
+  // returns the warm-start attach's schedule (and the warm start, bitwise),
+  // an improving one re-emits its best plan's schedule.
+  int improved = 0, unimproved = 0;
+  for (int index : {1, 3, 5, 9}) {
+    const MbspInstance inst = tiny_instance(index);
+    const ComputePlan initial =
+        run_baseline(inst, BaselineKind::kGreedyClairvoyant).plan;
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        for (long iterations : {0L, 3L, 1500L}) {
+          for (unsigned mask : {unsigned(kAllMoves), 0u}) {
+            LnsOptions options;
+            options.budget_ms = 0;
+            options.max_iterations = iterations;
+            options.cost = cost;
+            options.completion_policy = policy;
+            options.move_mask = mask;
+            const std::string what =
+                inst.name() + " iterations=" + std::to_string(iterations) +
+                " mask=" + std::to_string(mask);
+            const LnsResult res = improve_plan(inst, initial, options);
+            expect_result_is_oracle_of_plan(inst, res, options, what);
+            EXPECT_EQ(res.initial_cost, evaluate_plan(inst, initial, options))
+                << what;
+            if (res.cost < res.initial_cost) {
+              ++improved;
+            } else {
+              ++unimproved;
+              EXPECT_EQ(res.plan.seq, initial.seq) << what;
+              EXPECT_EQ(res.cost, res.initial_cost) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(improved, 0);
+  EXPECT_GT(unimproved, 0);
+}
+
+TEST(Lns, ChainedWarmStartedSlicesKeepTheOracleSchedule) {
+  // Short iteration-capped slices, each warm-started from the previous
+  // slice's plan (how time-sliced callers drive the search): every
+  // slice's schedule and cost stay the oracle's, and each warm start's
+  // cost is the previous slice's returned cost.
+  std::string error;
+  const auto inst = WorkloadRegistry::global().make_instance(
+      "stencil2d:nx=8,ny=4,steps=6", 7, /*P=*/4, /*r_factor=*/3, 1, 10,
+      &error);
+  ASSERT_TRUE(inst.has_value()) << error;
+  ComputePlan plan =
+      run_baseline(*inst, BaselineKind::kGreedyClairvoyant).plan;
+  double previous = -1;
+  int improved = 0;
+  for (int slice = 0; slice < 16; ++slice) {
+    LnsOptions options;
+    options.budget_ms = 0;
+    options.max_iterations = 5;
+    options.seed = 100 + static_cast<std::uint64_t>(slice);
+    const LnsResult res = improve_plan(*inst, plan, options);
+    const std::string what = "slice " + std::to_string(slice);
+    expect_result_is_oracle_of_plan(*inst, res, options, what);
+    if (previous >= 0) EXPECT_EQ(res.initial_cost, previous) << what;
+    improved += res.cost < res.initial_cost ? 1 : 0;
+    previous = res.cost;
+    plan = res.plan;
+  }
+  EXPECT_GT(improved, 0);
 }
 
 }  // namespace

@@ -179,6 +179,41 @@ TEST(RepairDifferential, TraceReplayMatchesOracleOnEveryEvent) {
   }
 }
 
+TEST(RepairDifferential, ScheduleIsTheOracleOfTheRepairedPlan) {
+  // The returned schedule (carried out of the polish engines, or completed
+  // for an unpolished patch) is bitwise complete_memory of the returned
+  // plan, with its cost, for every polish engine.
+  for (const TraceCase& tc : kTraceCases) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::string error;
+      auto trace = make_trace(tc.trace, /*seed=*/5, tc.machine, &error);
+      ASSERT_TRUE(trace.has_value()) << tc.trace << ": " << error;
+      MbspInstance inst = trace->base;
+      ComputePlan incumbent = greedy_plan(inst);
+      RepairOptions options = deterministic_repair(600);
+      if (variant == 1) options.workers = 2;  // portfolio polish
+      if (variant == 2) options.polish = false;
+      for (std::size_t e = 0; e < trace->events.size(); ++e) {
+        const std::string ctx = std::string(tc.trace) + " variant " +
+                                std::to_string(variant) + " event " +
+                                std::to_string(e);
+        ASSERT_TRUE(apply_instance_delta(inst, trace->events[e].delta,
+                                         nullptr, &error))
+            << ctx << ": " << error;
+        auto repaired = repair_plan(inst, incumbent, trace->events[e].delta,
+                                    options, &error);
+        ASSERT_TRUE(repaired.has_value()) << ctx << ": " << error;
+        MbspSchedule oracle;
+        EXPECT_EQ(repaired->cost,
+                  evaluate_plan(inst, repaired->plan, options.lns, &oracle))
+            << ctx;
+        EXPECT_TRUE(repaired->schedule == oracle) << ctx;
+        incumbent = std::move(repaired->plan);
+      }
+    }
+  }
+}
+
 TEST(RepairDifferential, RetrofitEdgeBetweenPlannedNodesRecertifies) {
   // Edges between two *existing* nodes are the hard structural case: the
   // head's occurrences were planned without the new dependency and must be

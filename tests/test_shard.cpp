@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -201,6 +202,54 @@ TEST(ShardedAdapter, RegisteredAndMapsResultFields) {
   EXPECT_EQ(result.num_parts, 3u);
   EXPECT_GT(result.baseline_cost, 0);
   EXPECT_LE(result.cost, result.baseline_cost + 1e-9);
+}
+
+TEST(ShardSchedule, ScheduleAndCostAreTheOracleOfTheReturnedPlan) {
+  // Whichever branch produced the returned plan (boundary polish, the
+  // unpolished stitch, a single shard, the full-seed fallback), its
+  // schedule and cost are a from-scratch evaluation of that plan.
+  for (const char* spec :
+       {"stencil2d:nx=6,ny=6,steps=4", "mapreduce:maps=8,reducers=4",
+        "wavefront:nx=6,ny=5"}) {
+    const MbspInstance inst = workload_instance(spec, 4, 3.0);
+    for (int shards : {1, 4}) {
+      for (long polish : {0L, 400L}) {
+        for (bool compare_seed : {true, false}) {
+          ShardOptions options = deterministic_options(shards);
+          options.lns.max_iterations = 600;
+          options.polish_max_iterations = polish;
+          options.compare_full_seed = compare_seed;
+          const ShardResult result = shard_schedule(inst, options);
+          const std::string what = std::string(spec) +
+                                   " shards=" + std::to_string(shards) +
+                                   " polish=" + std::to_string(polish) +
+                                   " seed=" + std::to_string(compare_seed);
+          MbspSchedule oracle;
+          EXPECT_EQ(result.cost,
+                    evaluate_plan(inst, result.plan, options.lns, &oracle))
+              << what;
+          EXPECT_TRUE(result.schedule == oracle) << what;
+          if (polish == 0 && !compare_seed) {
+            // Nothing after the stitch: the plan IS the stitched plan.
+            EXPECT_EQ(result.stitched_cost, result.cost) << what;
+          }
+        }
+      }
+      // The stitched cost reported by the polish's warm start equals the
+      // evaluation of the same stitched plan without a polish.
+      ShardOptions unpolished = deterministic_options(shards);
+      unpolished.lns.max_iterations = 600;
+      unpolished.polish_max_iterations = 0;
+      unpolished.compare_full_seed = false;
+      ShardOptions polishing = unpolished;
+      polishing.polish_max_iterations = 400;
+      const ShardResult stitched = shard_schedule(inst, unpolished);
+      const ShardResult polished = shard_schedule(inst, polishing);
+      EXPECT_EQ(polished.stitched_cost,
+                evaluate_plan(inst, stitched.plan, unpolished.lns))
+          << spec << " shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -177,6 +177,35 @@ TEST(StreamIo, BinaryErrorsReportOffsetSectionAndFileSize) {
       << error;
 }
 
+TEST(StreamIo, WrappingEdgeCountIsATruncationError) {
+  // One node, then an edge count of 2^61 + 1 and 8 more bytes: m * 8 wraps
+  // to exactly the bytes left, so a product-based guard passes and the
+  // edge buffer reservation throws. Both read paths must report a typed
+  // truncation of the edge section instead.
+  std::string bytes = "MBSPDAG2";
+  const auto put = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(0, 4);                 // empty name
+  put(1, 4);                 // one node
+  put(0, 8);                 // its omega
+  put(0, 8);                 // its mu
+  put((1ULL << 61) + 1, 8);  // edge count
+  put(0, 8);                 // 8 bytes left
+  std::string error;
+  EXPECT_FALSE(dag_from_binary(bytes, &error).has_value());
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  EXPECT_NE(error.find("section 'edges'"), std::string::npos) << error;
+  const std::string path = temp_path("wrapping_edge_count.bin");
+  spill(path, bytes);
+  error.clear();
+  EXPECT_FALSE(read_dag_file(path, &error).has_value());
+  EXPECT_NE(error.find("section 'edges'"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
 TEST(StreamIo, EveryTruncationLengthIsRejectedWithDiagnostics) {
   // Fuzz-ish sweep: chop a real file at every possible length; the parser
   // must reject every prefix (no prefix of a valid file is valid, thanks
