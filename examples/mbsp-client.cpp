@@ -119,21 +119,12 @@ int replay_trace(mbsp::daemon::MbspClient& client,
   std::uint64_t pinned = seeded.final.dag_hash;
   std::size_t repaired = 0;
   for (std::size_t i = 0; i < trace->events.size(); ++i) {
-    RepairRequest repair;
-    repair.no_cache = base_request.no_cache;
-    repair.machine_spec = base_request.machine_spec;
-    repair.scheduler = base_request.scheduler;
-    repair.cost_model = base_request.cost_model;
-    repair.budget_ms = base_request.budget_ms;
-    repair.max_iterations = base_request.max_iterations;
-    repair.seed = base_request.seed;
-    repair.deadline_ms = base_request.deadline_ms;
+    RepairRequest repair{base_request, trace->events[i].delta};
     if (i == 0) {
       repair.dag_bytes = seed_request.dag_bytes;  // base goes inline once
     } else {
       repair.dag_hash = pinned;  // chain onto the previous mutated scenario
     }
-    repair.delta = trace->events[i].delta;
 
     MbspClient::Outcome outcome;
     if (!client.repair(repair, &outcome, &error)) {

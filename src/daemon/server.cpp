@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "src/daemon/socket_io.hpp"
@@ -38,6 +39,9 @@ double max_budget_ms(double a, double b) {
 bool is_warm_startable(const std::string& scheduler) {
   return scheduler == "lns" || scheduler == "lns-portfolio";
 }
+
+/// Whether a pipeline stage ended the request.
+bool failed(const ErrorFrame& stage) { return stage.code != WireError::kNone; }
 
 bool is_protocol_error(WireError code) {
   switch (code) {
@@ -229,55 +233,351 @@ bool MbspdServer::send_error(int fd, WireError code,
 }
 
 void MbspdServer::handle_connection(int fd) {
-  while (true) {
-    if (!wait_readable(fd)) return;
-    Frame frame;
-    WireError code;
-    std::string error;
-    bool clean_eof;
-    if (!read_frame(fd, &frame, options_.max_request_bytes,
-                    /*accept_responses=*/false, &code, &error, &clean_eof)) {
-      if (!clean_eof) send_error(fd, code, error);
-      return;  // framing is unrecoverable: close the connection
+  while (wait_readable(fd)) {
+    // Fault containment: an exception while serving a frame costs that
+    // request a kInternal answer, never the daemon, and the connection
+    // keeps serving because the frame boundary is intact. One thrown while
+    // reading a frame leaves the boundary unknown: the connection closes.
+    bool framed = false;
+    bool alive = false;
+    try {
+      Frame frame;
+      WireError code;
+      std::string error;
+      bool clean_eof;
+      if (!read_frame(fd, &frame, options_.max_request_bytes,
+                      /*accept_responses=*/false, &code, &error,
+                      &clean_eof)) {
+        if (!clean_eof) send_error(fd, code, error);
+        return;  // framing is unrecoverable: close the connection
+      }
+      framed = true;
+      switch (frame.type) {
+        case FrameType::kPing:
+          alive = write_frame(fd, FrameType::kPong, "", nullptr);
+          break;
+        case FrameType::kStatsRequest:
+          alive = write_frame(fd, FrameType::kStatsReply,
+                              encode_stats(stats()), nullptr);
+          break;
+        case FrameType::kScheduleRequest:
+        case FrameType::kRepairRequest:
+          alive = handle_request(fd, frame.type, frame.payload);
+          break;
+        default:
+          send_error(fd, WireError::kBadFrameType, "unexpected frame type");
+          break;  // close the connection
+      }
+    } catch (const std::exception& e) {
+      alive = framed && send_error(fd, WireError::kInternal,
+                                   std::string("internal error: ") + e.what());
+    } catch (...) {
+      alive = framed && send_error(fd, WireError::kInternal, "internal error");
     }
-    switch (frame.type) {
-      case FrameType::kPing:
-        if (!write_frame(fd, FrameType::kPong, "", nullptr)) return;
-        break;
-      case FrameType::kStatsRequest:
-        if (!write_frame(fd, FrameType::kStatsReply, encode_stats(stats()),
-                         nullptr)) {
-          return;
-        }
-        break;
-      case FrameType::kScheduleRequest:
-        if (!handle_schedule(fd, frame.payload)) return;
-        break;
-      case FrameType::kRepairRequest:
-        if (!handle_repair(fd, frame.payload)) return;
-        break;
-      default:
-        send_error(fd, WireError::kBadFrameType, "unexpected frame type");
-        return;
-    }
+    if (!alive) return;
   }
 }
 
-bool MbspdServer::handle_schedule(int fd, const std::string& payload) {
-  const Clock::time_point received = Clock::now();
+// The request pipeline (docs/DAEMON.md "Serving model"). A SCHEDULE is a
+// RepairRequest whose delta is never applied, so both frame types run the
+// same stages; each stage that can refuse the request returns the typed
+// error that ends it.
+struct MbspdServer::Job {
+  Job(MbspdServer& server, int fd, bool repair)
+      : server(server), fd(fd), repair(repair), received(Clock::now()) {}
+  // A pool task holds the job's address until it has answered.
+  Job(const Job&) = delete;
+  Job& operator=(const Job&) = delete;
+
+  MbspdServer& server;
+  const int fd;
+  const bool repair;  ///< a REPAIR frame: `request.delta` applies
+  const Clock::time_point received;
+  RepairRequest request;
+  bool ok = true;  ///< every frame so far reached the client
+
+  const MbspScheduler* scheduler = nullptr;
+  const MbspScheduler* repairer = nullptr;  ///< REPAIR only
+  std::string machine;  ///< canonical machine name from the probe
+  SchedulerOptions opts;
+  std::shared_ptr<const ComputeDag> dag;  ///< base DAG; null while pinned
+  std::uint64_t dag_hash = 0;             ///< base DAG's canonical hash
+  std::optional<MbspInstance> inst;       ///< REPAIR: the mutated one
+  ScheduleCacheKey key;  ///< the answer's key: base, or repair+ mutated
+  CacheStatus answer = CacheStatus::kCold;
+  /// The cached answer or incumbent; after a solve, the solved answer.
+  ScheduleCacheEntry entry;
+  long long iterations = 0;  ///< LNS proposals of the solve
+
+  void send(FrameType type, const std::string& payload) {
+    if (ok) ok = write_frame(fd, type, payload, nullptr);
+  }
+  void status(const char* message) {
+    send(FrameType::kStatus, encode_status(message));
+  }
+  std::string repair_spec() const {
+    return scheduler_cache_spec("repair+" + request.scheduler, opts);
+  }
+
+  /// Runs the stages on a pool thread; false when the client is gone.
+  bool execute() {
+    ErrorFrame err;
+    try {
+      err = run();
+    } catch (const std::exception& e) {
+      err = {WireError::kInternal, std::string("internal error: ") + e.what()};
+    } catch (...) {
+      err = {WireError::kInternal, "internal error"};
+    }
+    if (failed(err)) ok = server.send_error(fd, err.code, err.message);
+    return ok;
+  }
+
+  ErrorFrame run() {
+    ErrorFrame err;
+    if (failed(err = resolve()) || failed(err = ingest_dag())) return err;
+    // A REPAIR's answer is keyed by the mutated scenario, which exists only
+    // once the delta is applied; a SCHEDULE's key is known already, so an
+    // exact hit needs no resident DAG.
+    if (repair && failed(err = build_instance())) return err;
+    lookup();
+    if (answer == CacheStatus::kExact) {
+      // Served in O(1): no solver invocation, bitwise-identical plan.
+      status("cache-hit");
+    } else {
+      if (!repair && failed(err = build_instance())) return err;
+      if (failed(err = solve())) return err;
+      memoize();
+    }
+    reply_final();
+    return {};
+  }
+
+  /// Stage 1: scheduler and machine resolve first: cheap, and their errors
+  /// name the offending token without touching the DAG.
+  ErrorFrame resolve() {
+    scheduler = server.registry_.find(request.scheduler);
+    if (scheduler == nullptr) {
+      return {WireError::kUnknownScheduler,
+              "unknown scheduler '" + request.scheduler + "'"};
+    }
+    if (repair) {
+      repairer = server.registry_.find("repair");
+      if (repairer == nullptr) {
+        return {WireError::kInternal,
+                "this daemon's registry has no 'repair' scheduler"};
+      }
+    }
+    // Probe build at unit memory: canonical name only (machine names do
+    // not depend on the memory scale, which needs the DAG).
+    std::string machine_err;
+    const auto probe = MachineRegistry::global().make_machine(
+        request.machine_spec, 1.0, &machine_err);
+    if (!probe) return {WireError::kBadMachineSpec, machine_err};
+    machine = probe->name;
+    opts.budget_ms = request.budget_ms;
+    opts.max_iterations = request.max_iterations;
+    opts.seed = request.seed;
+    opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
+                                        : CostModel::kAsynchronous;
+    return {};
+  }
+
+  /// Stage 2: an inline DAG is parsed, hash-checked and kept resident; a
+  /// pinned hash is resolved by build_instance() when the DAG is needed.
+  ErrorFrame ingest_dag() {
+    dag_hash = request.dag_hash;
+    if (!request.dag_bytes.empty()) {
+      std::string dag_err;
+      auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
+      if (!parsed) return {WireError::kBadDag, dag_err};
+      auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
+      dag_hash = dag_canonical_hash(*owned);
+      if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
+        return {WireError::kBadDag,
+                "inline DAG hashes to " + dag_hash_hex(dag_hash) +
+                    " but the request pinned " +
+                    dag_hash_hex(request.dag_hash)};
+      }
+      server.store_dag(dag_hash, owned);
+      dag = std::move(owned);
+    }
+    key = {dag_hash, machine,
+           scheduler_cache_spec(request.scheduler, opts)};
+    return {};
+  }
+
+  /// Stages 2-4 for a solve: the resident DAG, the deadline clamp, the
+  /// machine at the base DAG's r0 and, for REPAIR, the delta.
+  ErrorFrame build_instance() {
+    if (dag == nullptr) {
+      dag = server.find_dag(dag_hash);
+      if (dag == nullptr) {
+        return {WireError::kUnknownDagHash,
+                "no resident DAG with hash " + dag_hash_hex(dag_hash) +
+                    "; resend the request with the DAG inline"};
+      }
+    }
+    // Per-request deadline: covers queue wait (we are past admission
+    // here) and clamps the remaining solve budget.
+    if (request.deadline_ms > 0) {
+      const double elapsed = elapsed_ms_since(received);
+      const double remaining = request.deadline_ms - elapsed;
+      if (remaining <= 0) {
+        return {WireError::kDeadlineExpired,
+                "deadline of " + std::to_string(request.deadline_ms) +
+                    " ms expired after " + std::to_string(elapsed) +
+                    " ms in the admission queue"};
+      }
+      opts.budget_ms = opts.budget_ms == 0
+                           ? remaining
+                           : std::min(opts.budget_ms, remaining);
+    }
+    std::string machine_err;
+    auto built = MachineRegistry::global().make_machine(
+        request.machine_spec, min_memory_r0(*dag), &machine_err);
+    if (!built) return {WireError::kBadMachineSpec, machine_err};
+    inst.emplace(MbspInstance{*dag, std::move(*built)});
+    if (!repair) return {};
+    // The machine is the one the incumbent was solved on; the delta then
+    // mutates both dag and machine (docs/REPAIR.md: repair never silently
+    // re-scales memory under the incumbent).
+    std::string apply_err;
+    if (!apply_instance_delta(*inst, request.delta, nullptr, &apply_err)) {
+      return {WireError::kBadDelta, apply_err};
+    }
+    // Memoized under the MUTATED scenario with a "repair+" spec prefix:
+    // repeat REPAIRs exact-hit it, while plain SCHEDULE requests for the
+    // mutated dag keep their own bitwise solve-equality contract.
+    key = {dag_canonical_hash(inst->dag), inst->arch.name, repair_spec()};
+    return {};
+  }
+
+  /// Stages 5-6: look the answer up, then pick cold, warm or repaired.
+  void lookup() {
+    if (request.no_cache) return;
+    const auto find = [&](const ScheduleCacheKey& k) {
+      return server.cache_.lookup(k, request.budget_ms,
+                                  request.max_iterations, &entry);
+    };
+    const CacheHit hit = find(key);
+    if (hit == CacheHit::kExact) {
+      answer = CacheStatus::kExact;
+    } else if (!repair) {
+      if (hit == CacheHit::kWarm && is_warm_startable(request.scheduler)) {
+        answer = CacheStatus::kWarm;
+      }
+    } else {
+      // The base scenario's incumbent, exact or lower-effort, under its own
+      // spec or (chained repair: the pinned base may itself be a repaired
+      // scenario) under the repair+ spec.
+      ScheduleCacheKey base{dag_hash, machine,
+                            scheduler_cache_spec(request.scheduler, opts)};
+      bool found = find(base) != CacheHit::kMiss;
+      if (!found) {
+        base.scheduler_spec = repair_spec();
+        found = find(base) != CacheHit::kMiss;
+      }
+      if (found) answer = CacheStatus::kRepaired;
+    }
+  }
+
+  /// Stage 7. A SCHEDULE checks supports() before every solve; a REPAIR
+  /// only on its cold fallback.
+  ErrorFrame solve() {
+    if ((!repair || answer == CacheStatus::kCold) &&
+        !scheduler->supports(*inst)) {
+      return {WireError::kBadRequest,
+              "scheduler '" + request.scheduler + "' does not support " +
+                  (repair ? "the mutated instance" : "this instance")};
+    }
+    status(answer == CacheStatus::kWarm       ? "warm-start"
+           : answer == CacheStatus::kRepaired ? "repairing"
+                                              : "solving");
+    if (answer != CacheStatus::kCold) opts.warm_start_plan = &entry.plan;
+    if (answer == CacheStatus::kRepaired) opts.repair_delta = &request.delta;
+    ScheduleResult result =
+        (answer == CacheStatus::kRepaired ? repairer : scheduler)
+            ->run(*inst, opts);
+    {
+      const std::lock_guard<std::mutex> lock(server.stats_mutex_);
+      ++server.solver_calls_;
+      if (answer == CacheStatus::kRepaired) ++server.repair_hits_;
+    }
+    for (long p : result.lns_proposed) iterations += p;
+    // A warm entry keeps the larger of the cached and requested effort;
+    // any other takes the request's, after the deadline clamp.
+    const bool warm = answer == CacheStatus::kWarm;
+    entry.budget_ms =
+        warm ? max_budget_ms(entry.budget_ms, opts.budget_ms) : opts.budget_ms;
+    entry.max_iterations =
+        warm ? std::max<std::int64_t>(entry.max_iterations,
+                                      request.max_iterations)
+             : request.max_iterations;
+    entry.plan = std::move(result.plan);
+    entry.cost = result.cost;
+    entry.baseline_cost = result.baseline_cost;
+    entry.io_volume = result.io_volume;
+    entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
+    return {};
+  }
+
+  /// Stage 8, run before the final frame goes out so a client that has it
+  /// finds the entry. Memoized even when the client is gone: the work is
+  /// done either way.
+  void memoize() {
+    if (request.no_cache) return;
+    // Keep the mutated dag resident so follow-up requests can pin its hash
+    // (e.g. using the repaired scenario as the next repair base).
+    if (repair) {
+      server.store_dag(key.dag_hash, std::make_shared<ComputeDag>(inst->dag));
+    }
+    server.cache_.insert(key, entry);
+  }
+
+  /// Stage 9, the one final-reply path of cached and solved answers.
+  void reply_final() {
+    if (answer != CacheStatus::kExact) {
+      send(FrameType::kProgress, encode_progress({0, entry.baseline_cost, 0}));
+    }
+    send(FrameType::kProgress, encode_progress({1, entry.cost, iterations}));
+    FinalResult fin;
+    fin.dag_hash = key.dag_hash;
+    fin.machine = key.machine;
+    fin.scheduler = request.scheduler;
+    fin.cost_model = request.cost_model;
+    fin.cache = answer;
+    fin.cost = entry.cost;
+    fin.baseline_cost = entry.baseline_cost;
+    fin.io_volume = entry.io_volume;
+    fin.supersteps = entry.supersteps;
+    fin.plan = std::move(entry.plan);
+    send(FrameType::kFinal, encode_final_result(fin));
+  }
+};
+
+bool MbspdServer::handle_request(int fd, FrameType type,
+                                 const std::string& payload) {
+  const bool repair = type == FrameType::kRepairRequest;
+  Job job(*this, fd, repair);
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++requests_;
+    if (repair) ++repair_requests_;
   }
-  ScheduleRequest request;
   std::string decode_err;
-  if (!decode_schedule_request(payload, &request, &decode_err)) {
+  WireError code = WireError::kBadRequest;
+  const bool decoded =
+      repair ? decode_repair_request(payload, &job.request, &decode_err, &code)
+             : decode_schedule_request(payload, &job.request, &decode_err);
+  if (!decoded) {
     // The frame boundary is intact, so the connection stays usable.
-    return send_error(fd, WireError::kBadRequest, decode_err);
+    return send_error(fd, code, decode_err);
   }
-  if (request.version != kProtocolVersion) {
+  if (job.request.version != kProtocolVersion) {
     return send_error(fd, WireError::kBadVersion,
-                      "protocol version " + std::to_string(request.version) +
+                      "protocol version " +
+                          std::to_string(job.request.version) +
                           " not supported (this daemon speaks " +
                           std::to_string(kProtocolVersion) + ")");
   }
@@ -287,513 +587,12 @@ bool MbspdServer::handle_schedule(int fd, const std::string& payload) {
   if (!write_frame(fd, FrameType::kStatus, encode_status("queued"), nullptr)) {
     return false;
   }
-
-  // The solve runs on the pool (its queue is the admission queue); this
+  // The stages run on the pool (its queue is the admission queue); this
   // connection thread blocks until the reply is fully streamed. `alive`
   // reports whether the client is still there.
   std::promise<bool> done;
   std::future<bool> alive = done.get_future();
-  solver_pool_->submit([this, fd, request = std::move(request), received,
-                        &done]() mutable {
-    bool ok = true;
-    const auto fail = [&](WireError code, const std::string& message) {
-      ok = send_error(fd, code, message);
-    };
-    const auto status = [&](const char* message) {
-      ok = write_frame(fd, FrameType::kStatus, encode_status(message),
-                       nullptr);
-    };
-    try {
-      // Scheduler and machine resolve first: cheap, and their errors name
-      // the offending token without touching the DAG.
-      const MbspScheduler* scheduler = registry_.find(request.scheduler);
-      if (scheduler == nullptr) {
-        fail(WireError::kUnknownScheduler,
-             "unknown scheduler '" + request.scheduler + "'");
-        done.set_value(ok);
-        return;
-      }
-      std::string machine_err;
-      // Probe build at unit memory: canonical name only (machine names do
-      // not depend on the memory scale, which needs the DAG).
-      const auto probe = MachineRegistry::global().make_machine(
-          request.machine_spec, 1.0, &machine_err);
-      if (!probe) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-
-      SchedulerOptions opts;
-      opts.budget_ms = request.budget_ms;
-      opts.max_iterations = request.max_iterations;
-      opts.seed = request.seed;
-      opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
-                                          : CostModel::kAsynchronous;
-
-      // Resolve the DAG: inline payload, or a pinned canonical hash that
-      // may be answerable from the cache alone.
-      std::shared_ptr<const ComputeDag> dag;
-      std::uint64_t dag_hash = request.dag_hash;
-      if (!request.dag_bytes.empty()) {
-        std::string dag_err;
-        auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
-        if (!parsed) {
-          fail(WireError::kBadDag, dag_err);
-          done.set_value(ok);
-          return;
-        }
-        auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
-        dag_hash = dag_canonical_hash(*owned);
-        if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
-          fail(WireError::kBadDag,
-               "inline DAG hashes to " + dag_hash_hex(dag_hash) +
-                   " but the request pinned " +
-                   dag_hash_hex(request.dag_hash));
-          done.set_value(ok);
-          return;
-        }
-        store_dag(dag_hash, owned);
-        dag = std::move(owned);
-      }
-
-      ScheduleCacheKey key{dag_hash, probe->name,
-                           scheduler_cache_spec(request.scheduler, opts)};
-      ScheduleCacheEntry cached;
-      CacheHit hit = CacheHit::kMiss;
-      if (!request.no_cache) {
-        hit = cache_.lookup(key, request.budget_ms, request.max_iterations,
-                            &cached);
-      }
-
-      if (hit == CacheHit::kExact) {
-        // Served in O(1): no solver invocation, bitwise-identical plan.
-        status("cache-hit");
-        if (ok) {
-          ok = write_frame(fd, FrameType::kProgress,
-                           encode_progress({1, cached.cost, 0}), nullptr);
-        }
-        FinalResult fin;
-        fin.dag_hash = dag_hash;
-        fin.machine = key.machine;
-        fin.scheduler = request.scheduler;
-        fin.cost_model = request.cost_model;
-        fin.cache = CacheStatus::kExact;
-        fin.cost = cached.cost;
-        fin.baseline_cost = cached.baseline_cost;
-        fin.io_volume = cached.io_volume;
-        fin.supersteps = cached.supersteps;
-        fin.plan = std::move(cached.plan);
-        if (ok) {
-          ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                           nullptr);
-        }
-        done.set_value(ok);
-        return;
-      }
-
-      if (dag == nullptr) {
-        dag = find_dag(dag_hash);
-        if (dag == nullptr) {
-          fail(WireError::kUnknownDagHash,
-               "no resident DAG with hash " + dag_hash_hex(dag_hash) +
-                   "; resend the request with the DAG inline");
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      // Per-request deadline: covers queue wait (we are past admission
-      // here) and clamps the remaining solve budget.
-      if (request.deadline_ms > 0) {
-        const double elapsed = elapsed_ms_since(received);
-        const double remaining = request.deadline_ms - elapsed;
-        if (remaining <= 0) {
-          fail(WireError::kDeadlineExpired,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired after " + std::to_string(elapsed) +
-                   " ms in the admission queue");
-          done.set_value(ok);
-          return;
-        }
-        opts.budget_ms = opts.budget_ms == 0
-                             ? remaining
-                             : std::min(opts.budget_ms, remaining);
-      }
-
-      const double r0 = min_memory_r0(*dag);
-      auto machine = MachineRegistry::global().make_machine(
-          request.machine_spec, r0, &machine_err);
-      if (!machine) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-      const MbspInstance inst{*dag, std::move(*machine)};
-      if (!scheduler->supports(inst)) {
-        fail(WireError::kBadRequest,
-             "scheduler '" + request.scheduler +
-                 "' does not support this instance");
-        done.set_value(ok);
-        return;
-      }
-
-      const bool warm =
-          hit == CacheHit::kWarm && is_warm_startable(request.scheduler);
-      if (warm) opts.warm_start_plan = &cached.plan;
-      status(warm ? "warm-start" : "solving");
-
-      ScheduleResult result = scheduler->run(inst, opts);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-      }
-      long long iterations = 0;
-      for (long p : result.lns_proposed) iterations += p;
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({0, result.baseline_cost, 0}),
-                         nullptr);
-      }
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({1, result.cost, iterations}),
-                         nullptr);
-      }
-
-      FinalResult fin;
-      fin.dag_hash = dag_hash;
-      fin.machine = key.machine;
-      fin.scheduler = request.scheduler;
-      fin.cost_model = request.cost_model;
-      fin.cache = warm ? CacheStatus::kWarm : CacheStatus::kCold;
-      fin.cost = result.cost;
-      fin.baseline_cost = result.baseline_cost;
-      fin.io_volume = result.io_volume;
-      fin.supersteps = static_cast<std::uint32_t>(result.supersteps);
-      fin.plan = result.plan;
-
-      // Memoize even when the client is gone: the work is done either
-      // way, and the next identical request becomes an exact hit.
-      if (!request.no_cache) {
-        ScheduleCacheEntry entry;
-        entry.plan = std::move(result.plan);
-        entry.cost = result.cost;
-        entry.baseline_cost = result.baseline_cost;
-        entry.io_volume = result.io_volume;
-        entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
-        entry.budget_ms = warm ? max_budget_ms(cached.budget_ms,
-                                               opts.budget_ms)
-                               : opts.budget_ms;
-        entry.max_iterations =
-            warm ? std::max<std::int64_t>(cached.max_iterations,
-                                          request.max_iterations)
-                 : request.max_iterations;
-        cache_.insert(key, std::move(entry));
-      }
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                         nullptr);
-      }
-      done.set_value(ok);
-    } catch (const std::exception& e) {
-      fail(WireError::kInternal, std::string("internal error: ") + e.what());
-      done.set_value(ok);
-    } catch (...) {
-      fail(WireError::kInternal, "internal error");
-      done.set_value(ok);
-    }
-  });
-  return alive.get();
-}
-
-bool MbspdServer::handle_repair(int fd, const std::string& payload) {
-  const Clock::time_point received = Clock::now();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++requests_;
-    ++repair_requests_;
-  }
-  RepairRequest request;
-  std::string decode_err;
-  if (!decode_repair_request(payload, &request, &decode_err)) {
-    // A structurally intact payload with a semantically bad delta (unknown
-    // op kind) is the client's delta at fault, not the framing.
-    const bool bad_delta =
-        decode_err.find("bad delta op kind") != std::string::npos;
-    return send_error(
-        fd, bad_delta ? WireError::kBadDelta : WireError::kBadRequest,
-        decode_err);
-  }
-  if (request.version != kProtocolVersion) {
-    return send_error(fd, WireError::kBadVersion,
-                      "protocol version " + std::to_string(request.version) +
-                          " not supported (this daemon speaks " +
-                          std::to_string(kProtocolVersion) + ")");
-  }
-  if (stopping_.load()) {
-    return send_error(fd, WireError::kShuttingDown, "daemon is draining");
-  }
-  if (!write_frame(fd, FrameType::kStatus, encode_status("queued"), nullptr)) {
-    return false;
-  }
-
-  std::promise<bool> done;
-  std::future<bool> alive = done.get_future();
-  solver_pool_->submit([this, fd, request = std::move(request), received,
-                        &done]() mutable {
-    bool ok = true;
-    const auto fail = [&](WireError code, const std::string& message) {
-      ok = send_error(fd, code, message);
-    };
-    const auto status = [&](const char* message) {
-      ok = write_frame(fd, FrameType::kStatus, encode_status(message),
-                       nullptr);
-    };
-    try {
-      const MbspScheduler* scheduler = registry_.find(request.scheduler);
-      if (scheduler == nullptr) {
-        fail(WireError::kUnknownScheduler,
-             "unknown scheduler '" + request.scheduler + "'");
-        done.set_value(ok);
-        return;
-      }
-      const MbspScheduler* repairer = registry_.find("repair");
-      if (repairer == nullptr) {
-        fail(WireError::kInternal,
-             "this daemon's registry has no 'repair' scheduler");
-        done.set_value(ok);
-        return;
-      }
-      std::string machine_err;
-      const auto probe = MachineRegistry::global().make_machine(
-          request.machine_spec, 1.0, &machine_err);
-      if (!probe) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-
-      SchedulerOptions opts;
-      opts.budget_ms = request.budget_ms;
-      opts.max_iterations = request.max_iterations;
-      opts.seed = request.seed;
-      opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
-                                          : CostModel::kAsynchronous;
-
-      // The BASE dag is always required: the mutated scenario's identity
-      // (its canonical hash and machine name) only exists after the delta
-      // has been applied to it.
-      std::shared_ptr<const ComputeDag> dag;
-      std::uint64_t dag_hash = request.dag_hash;
-      if (!request.dag_bytes.empty()) {
-        std::string dag_err;
-        auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
-        if (!parsed) {
-          fail(WireError::kBadDag, dag_err);
-          done.set_value(ok);
-          return;
-        }
-        auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
-        dag_hash = dag_canonical_hash(*owned);
-        if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
-          fail(WireError::kBadDag,
-               "inline DAG hashes to " + dag_hash_hex(dag_hash) +
-                   " but the request pinned " +
-                   dag_hash_hex(request.dag_hash));
-          done.set_value(ok);
-          return;
-        }
-        store_dag(dag_hash, owned);
-        dag = std::move(owned);
-      } else {
-        dag = find_dag(dag_hash);
-        if (dag == nullptr) {
-          fail(WireError::kUnknownDagHash,
-               "no resident DAG with hash " + dag_hash_hex(dag_hash) +
-                   "; resend the request with the DAG inline");
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      if (request.deadline_ms > 0) {
-        const double elapsed = elapsed_ms_since(received);
-        const double remaining = request.deadline_ms - elapsed;
-        if (remaining <= 0) {
-          fail(WireError::kDeadlineExpired,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired after " + std::to_string(elapsed) +
-                   " ms in the admission queue");
-          done.set_value(ok);
-          return;
-        }
-        opts.budget_ms = opts.budget_ms == 0
-                             ? remaining
-                             : std::min(opts.budget_ms, remaining);
-      }
-
-      // Mutated scenario: the machine is built at the BASE dag's r0 — the
-      // machine the incumbent was solved on — and the delta then mutates
-      // both dag and machine (docs/REPAIR.md: repair never silently
-      // re-scales memory under the incumbent).
-      const double r0 = min_memory_r0(*dag);
-      auto machine = MachineRegistry::global().make_machine(
-          request.machine_spec, r0, &machine_err);
-      if (!machine) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-      MbspInstance mutated{*dag, std::move(*machine)};
-      std::string apply_err;
-      if (!apply_instance_delta(mutated, request.delta, nullptr, &apply_err)) {
-        fail(WireError::kBadDelta, apply_err);
-        done.set_value(ok);
-        return;
-      }
-      const std::uint64_t mutated_hash = dag_canonical_hash(mutated.dag);
-
-      // The repaired result is memoized under the MUTATED scenario with a
-      // "repair+" spec prefix: repeat REPAIRs exact-hit it, while plain
-      // SCHEDULE requests for the mutated dag keep their own bitwise
-      // solve-equality contract untouched.
-      ScheduleCacheKey mutated_key{
-          mutated_hash, mutated.arch.name,
-          scheduler_cache_spec("repair+" + request.scheduler, opts)};
-      if (!request.no_cache) {
-        ScheduleCacheEntry repeat;
-        if (cache_.lookup(mutated_key, request.budget_ms,
-                          request.max_iterations,
-                          &repeat) == CacheHit::kExact) {
-          status("cache-hit");
-          if (ok) {
-            ok = write_frame(fd, FrameType::kProgress,
-                             encode_progress({1, repeat.cost, 0}), nullptr);
-          }
-          FinalResult fin;
-          fin.dag_hash = mutated_hash;
-          fin.machine = mutated_key.machine;
-          fin.scheduler = request.scheduler;
-          fin.cost_model = request.cost_model;
-          fin.cache = CacheStatus::kExact;
-          fin.cost = repeat.cost;
-          fin.baseline_cost = repeat.baseline_cost;
-          fin.io_volume = repeat.io_volume;
-          fin.supersteps = repeat.supersteps;
-          fin.plan = std::move(repeat.plan);
-          if (ok) {
-            ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                             nullptr);
-          }
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      // Incumbent lookup under the BASE scenario's own key: any cached
-      // entry (exact or lower-effort) is a usable pre-delta plan.
-      ScheduleCacheKey base_key{dag_hash, probe->name,
-                                scheduler_cache_spec(request.scheduler, opts)};
-      ScheduleCacheEntry incumbent;
-      bool have_incumbent = false;
-      if (!request.no_cache) {
-        have_incumbent = cache_.lookup(base_key, request.budget_ms,
-                                       request.max_iterations,
-                                       &incumbent) != CacheHit::kMiss;
-        if (!have_incumbent) {
-          // Chained repair: the pinned base may itself be a repaired
-          // scenario, memoized under the repair+ spec prefix. Its plan
-          // is a valid incumbent for the base DAG all the same.
-          const ScheduleCacheKey chained_key{
-              dag_hash, probe->name,
-              scheduler_cache_spec("repair+" + request.scheduler, opts)};
-          have_incumbent = cache_.lookup(chained_key, request.budget_ms,
-                                         request.max_iterations,
-                                         &incumbent) != CacheHit::kMiss;
-        }
-      }
-
-      ScheduleResult result;
-      if (have_incumbent) {
-        status("repairing");
-        opts.warm_start_plan = &incumbent.plan;
-        opts.repair_delta = &request.delta;
-        result = repairer->run(mutated, opts);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-        ++repair_hits_;
-      } else {
-        if (!scheduler->supports(mutated)) {
-          fail(WireError::kBadRequest,
-               "scheduler '" + request.scheduler +
-                   "' does not support the mutated instance");
-          done.set_value(ok);
-          return;
-        }
-        status("solving");
-        result = scheduler->run(mutated, opts);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-      }
-      long long iterations = 0;
-      for (long p : result.lns_proposed) iterations += p;
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({0, result.baseline_cost, 0}),
-                         nullptr);
-      }
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({1, result.cost, iterations}),
-                         nullptr);
-      }
-
-      FinalResult fin;
-      fin.dag_hash = mutated_hash;
-      fin.machine = mutated_key.machine;
-      fin.scheduler = request.scheduler;
-      fin.cost_model = request.cost_model;
-      fin.cache =
-          have_incumbent ? CacheStatus::kRepaired : CacheStatus::kCold;
-      fin.cost = result.cost;
-      fin.baseline_cost = result.baseline_cost;
-      fin.io_volume = result.io_volume;
-      fin.supersteps = static_cast<std::uint32_t>(result.supersteps);
-      fin.plan = result.plan;
-
-      if (!request.no_cache) {
-        // Keep the mutated dag resident so follow-up requests can pin its
-        // hash (e.g. using the repaired scenario as the next repair base).
-        store_dag(mutated_hash,
-                  std::make_shared<ComputeDag>(mutated.dag));
-        ScheduleCacheEntry entry;
-        entry.plan = std::move(result.plan);
-        entry.cost = result.cost;
-        entry.baseline_cost = result.baseline_cost;
-        entry.io_volume = result.io_volume;
-        entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
-        entry.budget_ms = opts.budget_ms;
-        entry.max_iterations = request.max_iterations;
-        cache_.insert(mutated_key, std::move(entry));
-      }
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                         nullptr);
-      }
-      done.set_value(ok);
-    } catch (const std::exception& e) {
-      fail(WireError::kInternal, std::string("internal error: ") + e.what());
-      done.set_value(ok);
-    } catch (...) {
-      fail(WireError::kInternal, "internal error");
-      done.set_value(ok);
-    }
-  });
+  solver_pool_->submit([&job, &done] { done.set_value(job.execute()); });
   return alive.get();
 }
 
@@ -808,8 +607,9 @@ void MbspdServer::stop() {}
 void MbspdServer::accept_loop() {}
 void MbspdServer::reap_finished_connections() {}
 void MbspdServer::handle_connection(int) {}
-bool MbspdServer::handle_schedule(int, const std::string&) { return false; }
-bool MbspdServer::handle_repair(int, const std::string&) { return false; }
+bool MbspdServer::handle_request(int, FrameType, const std::string&) {
+  return false;
+}
 bool MbspdServer::send_error(int, WireError, const std::string&) {
   return false;
 }

@@ -82,14 +82,12 @@ class MbspdServer {
   void accept_loop();
   void reap_finished_connections();
   void handle_connection(int fd);
-  /// One schedule request end-to-end; false when the connection died.
-  bool handle_schedule(int fd, const std::string& payload);
-  /// One REPAIR request end-to-end (docs/REPAIR.md): resolve the base
-  /// scenario, fetch its cached incumbent, patch + polish it along the
-  /// request's InstanceDelta (falling back to a from-scratch solve of the
-  /// mutated instance on a cache miss), and memoize the result under the
-  /// mutated scenario's own key.
-  bool handle_repair(int fd, const std::string& payload);
+  /// One SCHEDULE or REPAIR frame end-to-end; false when the connection
+  /// died. Decode and admission run here, the rest on the pool as Job.
+  bool handle_request(int fd, FrameType type, const std::string& payload);
+  /// A request's pipeline stages and the state they hand each other
+  /// (server.cpp).
+  struct Job;
   bool send_error(int fd, WireError code, const std::string& message);
   /// Waits for fd readability or server stop; false on stop/hangup.
   bool wait_readable(int fd);

@@ -618,8 +618,6 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   }
   for (char bit : mask) result.masked_nodes += bit != 0;
 
-  result.patched_cost = evaluate_plan(inst, patched, options.lns);
-
   // --- 5. Polish seeded from the patch, in two stages: two thirds of the
   // budget run under the locality mask (the delta's blast radius, where
   // moves are most likely to pay), the rest unmasked — the global pass is
@@ -627,15 +625,19 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // masked move can do once repairs chain along a trace. A full mask
   // makes the stages identical, so the whole budget runs in one pass.
   // An empty mask means the delta changed nothing a move could exploit.
+  // patched_cost comes from the first polish stage, which completes its
+  // seed anyway; only the full-mask seed comparison and the unpolished
+  // exit evaluate the patch themselves.
   if (options.polish && result.masked_nodes > 0) {
     // Each polish stage keeps its plan with the schedule and from-scratch
     // cost its engine completed it with, so the returned plan is never
-    // completed again below.
+    // completed again below. Returns the cost of the stage's seed.
     const auto take = [&](auto&& polished) {
       result.plan = std::move(polished.plan);
       result.schedule = std::move(polished.schedule);
       result.cost = polished.cost;
       result.polish_iterations += polished.iterations;
+      return polished.initial_cost;
     };
     const auto polish = [&](const ComputePlan& seed_plan,
                             const LnsOptions& lns) {
@@ -648,10 +650,9 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
         popt.threads = static_cast<std::size_t>(
             options.threads > 0 ? options.threads : 0);
         const PortfolioLns portfolio(popt);
-        take(portfolio.improve(inst, seed_plan));
-      } else {
-        take(improve_plan(inst, seed_plan, lns));
+        return take(portfolio.improve(inst, seed_plan));
       }
+      return take(improve_plan(inst, seed_plan, lns));
     };
     // A machine delta invalidates the incumbent's load balance wholesale,
     // and the order-preserving relocation can leave a seed a fresh
@@ -661,6 +662,7 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
     const ComputePlan* polish_seed = &patched;
     ComputePlan rebalanced;
     if (result.full_mask) {
+      result.patched_cost = evaluate_plan(inst, patched, options.lns);
       rebalanced = run_baseline(inst, BaselineKind::kGreedyClairvoyant).plan;
       if (evaluate_plan(inst, rebalanced, options.lns) <
           result.patched_cost) {
@@ -678,7 +680,8 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
       masked.budget_ms = options.lns.budget_ms * 2 / 3;
       global.budget_ms = options.lns.budget_ms - masked.budget_ms;
     }
-    polish(*polish_seed, masked);
+    const double seed_cost = polish(*polish_seed, masked);
+    if (!result.full_mask) result.patched_cost = seed_cost;
     if (global_iters > 0) {
       const ComputePlan masked_plan = std::move(result.plan);
       polish(masked_plan, global);
@@ -687,6 +690,7 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
     result.plan = patched;
     result.cost =
         evaluate_plan(inst, result.plan, options.lns, &result.schedule);
+    result.patched_cost = result.cost;
   }
 
   // The reported cost is always a from-scratch evaluation of the returned

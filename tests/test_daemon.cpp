@@ -9,6 +9,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -651,6 +652,162 @@ TEST_F(DaemonTest, StatsRequestMirrorsServerCounters) {
   EXPECT_EQ(over_wire.requests, 2u);
   EXPECT_EQ(over_wire.exact_hits, 1u);
   EXPECT_EQ(over_wire.solver_calls, 1u);
+}
+
+long long total_iterations(const ScheduleResult& result) {
+  long long iterations = 0;
+  for (long p : result.lns_proposed) iterations += p;
+  return iterations;
+}
+
+/// Progress frames of a solved answer: the baseline, then the incumbent.
+std::vector<ProgressFrame> solved_progress(const ScheduleResult& result) {
+  return {{0, result.baseline_cost, 0},
+          {1, result.cost, total_iterations(result)}};
+}
+
+/// Pins a reply's whole frame sequence: every status in order, every
+/// progress frame, and the final frame's identity.
+void expect_transcript(const MbspClient::Outcome& got, const char* what,
+                       const std::vector<std::string>& statuses,
+                       const std::vector<ProgressFrame>& progress,
+                       CacheStatus cache, std::uint64_t dag_hash) {
+  SCOPED_TRACE(what);
+  ASSERT_TRUE(got.ok) << got.error.message;
+  EXPECT_EQ(got.statuses, statuses);
+  ASSERT_EQ(got.progress.size(), progress.size());
+  for (std::size_t i = 0; i < progress.size(); ++i) {
+    EXPECT_EQ(got.progress[i].stage, progress[i].stage) << "frame " << i;
+    EXPECT_EQ(got.progress[i].cost, progress[i].cost) << "frame " << i;
+    EXPECT_EQ(got.progress[i].iterations, progress[i].iterations)
+        << "frame " << i;
+  }
+  EXPECT_EQ(got.final.cache, cache);
+  EXPECT_EQ(got.final.dag_hash, dag_hash);
+  EXPECT_EQ(got.final.machine, "uniform");
+}
+
+TEST_F(DaemonTest, WireTranscriptOfEveryAnswerKindIsPinned) {
+  start_server();
+  const std::string workload = "fft:n=16";
+  MbspClient client;
+  connect_ok(client);
+  std::string error;
+
+  // Local references for every solve the daemon performs below.
+  auto dag = WorkloadRegistry::global().make_dag(workload, 7, &error);
+  ASSERT_TRUE(dag) << error;
+  auto machine = MachineRegistry::global().make_machine(
+      "uniform:P=4", min_memory_r0(*dag), &error);
+  ASSERT_TRUE(machine) << error;
+  const MbspInstance base{*dag, std::move(*machine)};
+  const std::uint64_t base_hash = dag_canonical_hash(base.dag);
+  const MbspScheduler& lns = SchedulerRegistry::global().at("lns");
+
+  // SCHEDULE, cold.
+  const ScheduleRequest request = make_request(workload, 500);
+  const ScheduleResult cold = local_solve(workload, request);
+  MbspClient::Outcome outcome;
+  ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
+  expect_transcript(outcome, "schedule cold", {"queued", "solving"},
+                    solved_progress(cold), CacheStatus::kCold, base_hash);
+
+  // SCHEDULE, exact: served from the cache.
+  ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
+  expect_transcript(outcome, "schedule exact", {"queued", "cache-hit"},
+                    {{1, cold.cost, 0}}, CacheStatus::kExact, base_hash);
+
+  // SCHEDULE, warm: more effort, warm-started from the cached plan.
+  ScheduleRequest bigger = request;
+  bigger.max_iterations = 1500;
+  SchedulerOptions options;
+  options.budget_ms = 0;  // iteration-capped, like the requests
+  options.max_iterations = bigger.max_iterations;
+  options.seed = bigger.seed;
+  options.warm_start_plan = &cold.plan;
+  const ScheduleResult warm = lns.run(base, options);
+  ASSERT_TRUE(client.run(bigger, &outcome, &error)) << error;
+  expect_transcript(outcome, "schedule warm", {"queued", "warm-start"},
+                    solved_progress(warm), CacheStatus::kWarm, base_hash);
+
+  // REPAIR, repaired: the incumbent is the warm entry.
+  const RepairRequest repair = make_repair_request(workload, 500);
+  MbspInstance mutated = base;
+  ASSERT_TRUE(apply_instance_delta(mutated, repair.delta, nullptr, &error))
+      << error;
+  const std::uint64_t mutated_hash = dag_canonical_hash(mutated.dag);
+  options.max_iterations = repair.max_iterations;
+  options.warm_start_plan = &warm.plan;
+  options.repair_delta = &repair.delta;
+  const ScheduleResult repaired =
+      SchedulerRegistry::global().at("repair").run(mutated, options);
+  ASSERT_TRUE(client.repair(repair, &outcome, &error)) << error;
+  expect_transcript(outcome, "repair repaired", {"queued", "repairing"},
+                    solved_progress(repaired), CacheStatus::kRepaired,
+                    mutated_hash);
+
+  // REPAIR, exact: the mutated scenario's repair+ entry.
+  ASSERT_TRUE(client.repair(repair, &outcome, &error)) << error;
+  expect_transcript(outcome, "repair exact", {"queued", "cache-hit"},
+                    {{1, repaired.cost, 0}}, CacheStatus::kExact,
+                    mutated_hash);
+
+  // REPAIR, cold: no_cache skips the incumbent and solves the mutation.
+  RepairRequest uncached = repair;
+  uncached.no_cache = true;
+  options.warm_start_plan = nullptr;
+  options.repair_delta = nullptr;
+  const ScheduleResult resolved = lns.run(mutated, options);
+  ASSERT_TRUE(client.repair(uncached, &outcome, &error)) << error;
+  expect_transcript(outcome, "repair cold", {"queued", "solving"},
+                    solved_progress(resolved), CacheStatus::kCold,
+                    mutated_hash);
+}
+
+/// A scheduler whose run() throws: the daemon must contain the fault.
+class ThrowingScheduler : public MbspScheduler {
+ public:
+  std::string name() const override { return "throws"; }
+  ScheduleResult run(const MbspInstance&,
+                     const SchedulerOptions&) const override {
+    throw std::runtime_error("scheduler exploded");
+  }
+};
+
+TEST_F(DaemonTest, ThrowingSchedulerIsAnInternalErrorAndTheDaemonLives) {
+  SchedulerRegistry registry;
+  register_builtin_schedulers(registry);
+  registry.add(std::make_unique<ThrowingScheduler>());
+  options_.socket_path = test_socket_path();
+  options_.solver_threads = 1;
+  server_ = std::make_unique<MbspdServer>(options_, registry);
+  std::string error;
+  ASSERT_TRUE(server_->start(&error)) << error;
+
+  MbspClient client;
+  connect_ok(client);
+  ScheduleRequest request = make_request("fft:n=8", 100);
+  request.scheduler = "throws";
+  MbspClient::Outcome outcome;
+  ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error.code, WireError::kInternal);
+  EXPECT_NE(outcome.error.message.find("scheduler exploded"),
+            std::string::npos)
+      << outcome.error.message;
+
+  RepairRequest repair = make_repair_request("fft:n=8", 100);
+  repair.scheduler = "throws";
+  repair.no_cache = true;  // the cold fallback runs the throwing scheduler
+  ASSERT_TRUE(client.repair(repair, &outcome, &error)) << error;
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error.code, WireError::kInternal);
+
+  // The same connection keeps serving, and so does the daemon.
+  EXPECT_TRUE(client.ping(&error)) << error;
+  MbspClient second;
+  connect_ok(second);
+  run_ok(second, make_request("fft:n=8", 100));
 }
 
 }  // namespace
